@@ -1,5 +1,6 @@
 //! Behavioural pins for the evasive strategies and the heavy-writers:
 //! each strategy must actually starve the indicator it claims to starve,
+//! except collusion, whose split the per-file baseline inheritance closed,
 //! and each heavy-writer must finish unsuspended at default thresholds.
 
 use cryptodrop::{Config, CryptoDrop, ScoreConfig, Session};
@@ -84,33 +85,39 @@ fn slow_roll_spends_hours_of_simulated_clock() {
     );
 }
 
+/// The writer pid never reads, but it inherits the reader's per-file
+/// baselines, so the entropy leg of the union still fires on it.
 #[test]
-fn collusion_starves_the_writer_entropy_baseline() {
+fn collusion_hands_the_writer_the_entropy_baseline() {
     let c = corpus();
     let cfg = default_config(&c);
     let split = run(&c, &cfg, &Collusion::default(), 13);
-    // The writer never reads, so union indication (which needs the
-    // entropy primary) is impossible; detection only happens through the
-    // slower non-union path.
-    assert!(!split.union, "write-only pid has no entropy baseline");
-    let solo = run(&c, &cfg, &Collusion { max_files: None, colluding: false }, 13);
-    assert!(solo.detected && split.detected);
-    assert!(
-        split.outcome.files_touched > solo.outcome.files_touched,
-        "split {} vs solo {} files lost",
-        split.outcome.files_touched,
-        solo.outcome.files_touched
+    assert!(split.detected, "score {}", split.max_score);
+    assert!(split.union, "inherited baselines must complete the union");
+    let solo = run(
+        &c,
+        &cfg,
+        &Collusion {
+            max_files: None,
+            colluding: false,
+        },
+        13,
     );
+    assert!(solo.detected && solo.union);
 }
 
+/// A bounded plan split across a reader and a writer pid is caught before
+/// it completes, like the same plan under one pid.
 #[test]
-fn bounded_collusion_completes_undetected() {
+fn bounded_collusion_is_caught_like_the_solo_plan() {
     let c = corpus();
     let cfg = default_config(&c);
     let split = run(&c, &cfg, &Collusion::bounded(12), 14);
-    assert!(!split.detected, "score {}", split.max_score);
-    assert!(split.outcome.completed);
-    assert_eq!(split.outcome.files_touched, 12);
+    assert!(split.detected, "score {}", split.max_score);
+    assert!(
+        !split.outcome.completed || split.outcome.files_touched < 12,
+        "suspension must interrupt the bounded plan"
+    );
     let solo = run(&c, &cfg, &Collusion::solo(12), 14);
     assert!(
         solo.detected,

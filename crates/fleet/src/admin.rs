@@ -312,7 +312,7 @@ mod tests {
             let body: Vec<u8> = (0..40u32)
                 .flat_map(|l| format!("file {i} line {l}: steady prose content\n").into_bytes())
                 .collect();
-            fleet.stage_file(VPath::new(&format!("/docs/doc-{i}.txt")), body);
+            fleet.stage_file(VPath::new(format!("/docs/doc-{i}.txt")), body);
         }
         FleetAdmin::new(fleet)
     }
@@ -358,7 +358,7 @@ mod tests {
         let t = admin.fleet_mut().get_mut(1).unwrap();
         let pid = t.fs_mut().spawn_process("evil.exe");
         for i in 0..25 {
-            let path = VPath::new(&format!("/docs/doc-{i}.txt"));
+            let path = VPath::new(format!("/docs/doc-{i}.txt"));
             let Ok(h) = t.fs_mut().open(pid, &path, OpenOptions::modify()) else {
                 break;
             };

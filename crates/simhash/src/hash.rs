@@ -21,51 +21,61 @@
 /// ```
 pub fn sha1_words(data: &[u8]) -> [u32; 5] {
     let mut h: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
-
-    // Message padding: 0x80, zeros, 64-bit big-endian bit length.
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut msg = data.to_vec();
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
+    let mut blocks = data.chunks_exact(64);
+    for block in &mut blocks {
+        sha1_compress(&mut h, block);
     }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
 
-    let mut w = [0u32; 80];
-    for block in msg.chunks_exact(64) {
-        for (i, word) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-        let (mut a, mut b, mut c, mut d, mut e) = (h[0], h[1], h[2], h[3], h[4]);
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
-                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-                _ => (b ^ c ^ d, 0xCA62C1D6),
-            };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
-        }
-        h[0] = h[0].wrapping_add(a);
-        h[1] = h[1].wrapping_add(b);
-        h[2] = h[2].wrapping_add(c);
-        h[3] = h[3].wrapping_add(d);
-        h[4] = h[4].wrapping_add(e);
+    // Message padding, built on the stack around the tail: 0x80, zeros,
+    // 64-bit big-endian bit length — one block, or two when the tail
+    // leaves no room for the length.
+    let tail = blocks.remainder();
+    let mut pad = [0u8; 128];
+    pad[..tail.len()].copy_from_slice(tail);
+    pad[tail.len()] = 0x80;
+    let end = if tail.len() < 56 { 64 } else { 128 };
+    let bit_len = (data.len() as u64).wrapping_mul(8);
+    pad[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
+    for block in pad[..end].chunks_exact(64) {
+        sha1_compress(&mut h, block);
     }
     h
+}
+
+/// Folds one 64-byte block into the SHA-1 state.
+fn sha1_compress(h: &mut [u32; 5], block: &[u8]) {
+    let mut w = [0u32; 80];
+    for (wi, word) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *wi = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
+    }
+    for i in 16..80 {
+        w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e] = *h;
+    macro_rules! rounds {
+        ($range:expr, $k:expr, $f:expr) => {
+            for &wi in &w[$range] {
+                let tmp = a
+                    .rotate_left(5)
+                    .wrapping_add($f)
+                    .wrapping_add(e)
+                    .wrapping_add($k)
+                    .wrapping_add(wi);
+                e = d;
+                d = c;
+                c = b.rotate_left(30);
+                b = a;
+                a = tmp;
+            }
+        };
+    }
+    rounds!(0..20, 0x5A827999, (b & c) | (!b & d));
+    rounds!(20..40, 0x6ED9EBA1, b ^ c ^ d);
+    rounds!(40..60, 0x8F1BBCDC, (b & c) | (b & d) | (c & d));
+    rounds!(60..80, 0xCA62C1D6, b ^ c ^ d);
+    for (hi, v) in h.iter_mut().zip([a, b, c, d, e]) {
+        *hi = hi.wrapping_add(v);
+    }
 }
 
 /// The SHA-1 digest as a lowercase hex string (for tests and reports).

@@ -25,7 +25,6 @@
 //!    is scored against its best match in the other digest, and the scores
 //!    are averaged into a 0–100 confidence.
 
-use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
@@ -338,41 +337,104 @@ fn precedence_ranks(data: &[u8]) -> Vec<u32> {
     ranks_in(data, 0, n - FEATURE_SIZE + 1)
 }
 
+/// Slots in [`ranks_in`]'s rank memo (a power of two). Small enough that
+/// clearing it costs little next to ranking even a 1 KiB input, large
+/// enough to hold the distinct window sums of typical documents.
+const RANK_MEMO_SLOTS: usize = 1024;
+
+/// The precedence rank of a window whose fixed-point sum is `s`. This float
+/// formula is the only definition of a rank.
+fn rank_of_sum(s: i64) -> u32 {
+    let w = FEATURE_SIZE as f64;
+    let max_h = w.log2(); // 6 bits
+    let h = (max_h - (s as f64 / RANK_FX) / w).max(0.0);
+    let scaled = ((h / max_h) * ENTROPY_SCALE as f64).round() as u32;
+    rank_of(scaled.min(ENTROPY_SCALE))
+}
+
 /// Precedence ranks for window positions `lo..hi` only (requires
 /// `hi + FEATURE_SIZE − 1 <= data.len()`). Exactly equal to the
 /// corresponding slice of [`precedence_ranks`] thanks to the fixed-point
 /// accumulator.
+///
+/// A rank is a pure function of the integer sum `S`, and neighbouring
+/// windows mostly repeat a few sums, so each call memoizes
+/// [`rank_of_sum`] in a direct-mapped table keyed by the exact `S`: a hit
+/// returns the very value the formula produced, a miss evaluates it.
 fn ranks_in(data: &[u8], lo: usize, hi: usize) -> Vec<u32> {
     debug_assert!(lo < hi && hi + FEATURE_SIZE - 1 <= data.len());
     let clog = clog_fx();
-    let mut counts = [0usize; 256];
+    let mut counts = [0u8; 256];
     let mut s = 0i64;
     for &b in &data[lo..lo + FEATURE_SIZE] {
-        let c = counts[b as usize];
+        let c = counts[b as usize] as usize;
         s += clog[c + 1] - clog[c];
-        counts[b as usize] = c + 1;
+        counts[b as usize] += 1;
     }
-    let w = FEATURE_SIZE as f64;
-    let max_h = w.log2(); // 6 bits
+
+    // `S` is never negative, so -1 marks an empty slot.
+    let mut memo_sum = [-1i64; RANK_MEMO_SLOTS];
+    let mut memo_rank = [0u32; RANK_MEMO_SLOTS];
+    let mut rank = |s: i64| {
+        let slot = ((s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            >> (64 - RANK_MEMO_SLOTS.trailing_zeros())) as usize;
+        if memo_sum[slot] != s {
+            memo_sum[slot] = s;
+            memo_rank[slot] = rank_of_sum(s);
+        }
+        memo_rank[slot]
+    };
 
     let mut ranks = Vec::with_capacity(hi - lo);
-    for i in lo..hi {
-        if i > lo {
-            // Slide: remove data[i-1], add data[i + FEATURE_SIZE - 1].
-            let out = data[i - 1] as usize;
-            let c = counts[out];
-            s += clog[c - 1] - clog[c];
-            counts[out] = c - 1;
-            let inc = data[i + FEATURE_SIZE - 1] as usize;
-            let c = counts[inc];
-            s += clog[c + 1] - clog[c];
-            counts[inc] = c + 1;
-        }
-        let h = (max_h - (s as f64 / RANK_FX) / w).max(0.0);
-        let scaled = ((h / max_h) * ENTROPY_SCALE as f64).round() as u32;
-        ranks.push(rank_of(scaled.min(ENTROPY_SCALE)));
+    ranks.push(rank(s));
+    for (&out, &inc) in data[lo..hi - 1].iter().zip(&data[lo + FEATURE_SIZE..]) {
+        // Slide: remove the byte leaving the window, add the one entering.
+        let c = counts[out as usize] as usize;
+        s += clog[c - 1] - clog[c];
+        counts[out as usize] -= 1;
+        let c = counts[inc as usize] as usize;
+        s += clog[c + 1] - clog[c];
+        counts[inc as usize] += 1;
+        ranks.push(rank(s));
     }
     ranks
+}
+
+/// Calls `credit(i)` once per run of `win` consecutive entries of `ranks`,
+/// in run order, where `i` is the index of the run's leftmost maximum.
+///
+/// van Herk/Gil-Werman sliding maximum: ranks are cut into blocks of
+/// `win`; the run starting at offset `j` of a block is the block's suffix
+/// from `j` plus the next block's prefix of length `j`, so one suffix-max
+/// pass and one running prefix max give every run's maximum in O(1) each.
+/// Keys `(rank << 32) | !i` make a plain `max` prefer the leftmost of
+/// equal ranks.
+fn for_each_window_max(ranks: &[u32], win: usize, mut credit: impl FnMut(usize)) {
+    debug_assert!(win <= POPULARITY_WINDOW);
+    let n = ranks.len();
+    if win == 0 || n < win {
+        return;
+    }
+    let key = |i: usize| (u64::from(ranks[i]) << 32) | u64::from(!(i as u32));
+    let index = |key: u64| !(key as u32) as usize;
+    let last_start = n - win;
+    let mut suffix = [0u64; POPULARITY_WINDOW];
+    for block in (0..=last_start).step_by(win) {
+        let mut max = 0;
+        for (j, slot) in suffix[..win].iter_mut().enumerate().rev() {
+            max = max.max(key(block + j));
+            *slot = max;
+        }
+        // The run starting at block + 1 + j adds the next block's first
+        // j + 1 keys.
+        credit(index(suffix[0]));
+        let runs = win.min(last_start - block + 1);
+        let mut prefix = 0;
+        for (j, &suffix_max) in suffix[1..runs].iter().enumerate() {
+            prefix = prefix.max(key(block + win + j));
+            credit(index(suffix_max.max(prefix)));
+        }
+    }
 }
 
 /// Re-selects features for window positions `lo..hi` of `data`, appending
@@ -394,40 +456,13 @@ fn region_features(
     let r_hi = (hi + win - 1).min(windows);
     let ranks = ranks_in(data, r_lo, r_hi);
     let q_hi = (hi - 1).min(windows - win);
+    debug_assert!(q_hi >= r_lo);
     let mut pop = vec![0u32; hi - lo];
-    let mut deque: VecDeque<usize> = VecDeque::new();
-    if q_hi + win > r_lo {
-        for i in r_lo..(q_hi + win) {
-            let ri = i - r_lo;
-            // Maintain decreasing ranks; equal ranks keep the earlier index
-            // at the front so the leftmost maximum wins (as in
-            // `select_popular`).
-            while let Some(&back) = deque.back() {
-                if ranks[back] < ranks[ri] {
-                    deque.pop_back();
-                } else {
-                    break;
-                }
-            }
-            deque.push_back(ri);
-            if i + 1 >= r_lo + win {
-                let q = i + 1 - win; // absolute start of the complete window
-                while let Some(&front) = deque.front() {
-                    if front + r_lo < q {
-                        deque.pop_front();
-                    } else {
-                        break;
-                    }
-                }
-                if let Some(&front) = deque.front() {
-                    let p = front + r_lo;
-                    if p >= lo && p < hi {
-                        pop[p - lo] += 1;
-                    }
-                }
-            }
+    for_each_window_max(&ranks[..q_hi + win - r_lo], win, |i| {
+        if let Some(points) = (r_lo + i).checked_sub(lo).and_then(|p| pop.get_mut(p)) {
+            *points += 1;
         }
-    }
+    });
     for p in lo..hi {
         if ranks[p - r_lo] > 0 && pop[p - lo] >= POPULARITY_THRESHOLD {
             out.push(CachedFeature {
@@ -454,47 +489,18 @@ fn rank_of(scaled_entropy: u32) -> u32 {
 /// gets a popularity point; positions with at least
 /// [`POPULARITY_THRESHOLD`] points (and nonzero rank) are selected.
 ///
-/// Implemented with a monotonic deque for O(n) total work.
+/// O(n) total work via [`for_each_window_max`].
 fn select_popular(ranks: &[u32]) -> Vec<usize> {
     let n = ranks.len();
     let mut popularity = vec![0u32; n];
-    let win = POPULARITY_WINDOW.min(n);
-    let mut deque: VecDeque<usize> = VecDeque::new();
-    for i in 0..n {
-        // Maintain decreasing ranks; equal ranks keep the earlier index at
-        // the front so the leftmost maximum wins.
-        while let Some(&back) = deque.back() {
-            if ranks[back] < ranks[i] {
-                deque.pop_back();
-            } else {
-                break;
-            }
-        }
-        deque.push_back(i);
-        if let Some(&front) = deque.front() {
-            if front + win == i + 1 && deque.len() > 1 {
-                // front leaving the window next iteration is handled below.
-            }
-        }
-        // Window [i + 1 - win, i] is complete once i + 1 >= win.
-        if i + 1 >= win {
-            let start = i + 1 - win;
-            while let Some(&front) = deque.front() {
-                if front < start {
-                    deque.pop_front();
-                } else {
-                    break;
-                }
-            }
-            if let Some(&front) = deque.front() {
-                popularity[front] += 1;
-            }
-        }
-    }
+    for_each_window_max(ranks, POPULARITY_WINDOW.min(n), |i| popularity[i] += 1);
     (0..n)
         .filter(|&i| ranks[i] > 0 && popularity[i] >= POPULARITY_THRESHOLD)
         .collect()
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -160,14 +160,21 @@ fn refine_zip(bytes: &[u8]) -> FileType {
     FileType::Zip
 }
 
-/// Naive substring search (needles here are short and windows small).
+/// First-occurrence substring search: skips to each occurrence of the
+/// needle's first byte and compares the rest only there, which in document
+/// containers rejects nearly every position on a single byte compare.
 fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    if needle.is_empty() || haystack.len() < needle.len() {
-        return None;
+    let (&first, rest) = needle.split_first()?;
+    let last_start = haystack.len().checked_sub(needle.len())?;
+    let mut from = 0;
+    while let Some(skip) = haystack[from..=last_start].iter().position(|&b| b == first) {
+        let at = from + skip;
+        if &haystack[at + 1..at + needle.len()] == rest {
+            return Some(at);
+        }
+        from = at + 1;
     }
-    haystack
-        .windows(needle.len())
-        .position(|w| w == needle)
+    None
 }
 
 #[cfg(test)]
@@ -270,5 +277,129 @@ mod tests {
         assert_eq!(find(b"abc", b""), None);
         assert_eq!(find(b"abc", b"abcd"), None);
         assert_eq!(find(b"xxabcxx", b"abc"), Some(2));
+        assert_eq!(find(b"abc", b"abc"), Some(0));
+        assert_eq!(find(b"aab", b"ab"), Some(1));
+        assert_eq!(find(b"xxab", b"ab"), Some(2));
+        assert_eq!(find(b"xxa", b"ab"), None);
+    }
+
+    /// The naive scan `find` replaced, kept as its oracle.
+    fn oracle_find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
+        if needle.is_empty() || haystack.len() < needle.len() {
+            return None;
+        }
+        haystack.windows(needle.len()).position(|w| w == needle)
+    }
+
+    /// [`match_magic`] as it was over the naive scan, kept as its oracle.
+    fn oracle_match_magic(bytes: &[u8]) -> Option<FileType> {
+        let base = SIGNATURES.iter().find(|s| s.matches(bytes))?.file_type;
+        if base != FileType::Zip {
+            return Some(base);
+        }
+        let window = &bytes[..bytes.len().min(CONTAINER_SCAN_LIMIT)];
+        let has = |needle: &[u8]| oracle_find(window, needle).is_some();
+        Some(if has(b"mimetypeapplication/vnd.oasis.opendocument.text") {
+            FileType::Odt
+        } else if has(b"mimetypeapplication/vnd.oasis.opendocument.spreadsheet") {
+            FileType::Ods
+        } else if has(b"mimetypeapplication/vnd.oasis.opendocument.presentation") {
+            FileType::Odp
+        } else if !(has(b"[Content_Types].xml") || has(b"_rels/.rels")) {
+            FileType::Zip
+        } else if has(b"word/") {
+            FileType::Docx
+        } else if has(b"xl/") {
+            FileType::Xlsx
+        } else if has(b"ppt/") {
+            FileType::Pptx
+        } else {
+            FileType::Zip
+        })
+    }
+
+    /// Every needle `refine_zip` looks for, plus near misses that share a
+    /// prefix with one.
+    const NEEDLES: &[&[u8]] = &[
+        b"mimetypeapplication/vnd.oasis.opendocument.text",
+        b"mimetypeapplication/vnd.oasis.opendocument.spreadsheet",
+        b"mimetypeapplication/vnd.oasis.opendocument.presentation",
+        b"mimetypeapplication/vnd.oasis.opendocument.",
+        b"[Content_Types].xml",
+        b"[Content_Types]",
+        b"_rels/.rels",
+        b"word/",
+        b"wor",
+        b"xl/",
+        b"ppt/",
+        b"pp",
+    ];
+
+    /// A ZIP-headed buffer with a few needles planted at random offsets,
+    /// some straddling the container scan window's edge.
+    fn planted_container(len: usize, seed: u64, picks: &[(usize, i8)]) -> Vec<u8> {
+        let mut s = seed | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let mut v: Vec<u8> = b"PK\x03\x04".to_vec();
+        v.extend((4..len.max(4)).map(|_| b"wxp/_[mlr.e"[(next() % 11) as usize]));
+        for &(pick, shift) in picks {
+            let needle = NEEDLES[pick % NEEDLES.len()];
+            let at = if shift == 0 {
+                4 + (next() as usize) % v.len()
+            } else {
+                (CONTAINER_SCAN_LIMIT as isize - needle.len() as isize + shift as isize) as usize
+            };
+            if at + needle.len() <= v.len() {
+                v[at..at + needle.len()].copy_from_slice(needle);
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn needles_at_the_window_edge() {
+        let mut doc = vec![b'-'; CONTAINER_SCAN_LIMIT + 64];
+        doc[..4].copy_from_slice(b"PK\x03\x04");
+        doc[8..19].copy_from_slice(b"_rels/.rels");
+        let edge = CONTAINER_SCAN_LIMIT - b"word/".len();
+        let mut inside = doc.clone();
+        inside[edge..CONTAINER_SCAN_LIMIT].copy_from_slice(b"word/");
+        assert_eq!(match_magic(&inside), Some(FileType::Docx));
+        let mut straddling = doc;
+        straddling[edge + 1..CONTAINER_SCAN_LIMIT + 1].copy_from_slice(b"word/");
+        assert_eq!(match_magic(&straddling), Some(FileType::Zip));
+    }
+
+    proptest::proptest! {
+        /// `find` agrees with the naive scan on low-alphabet haystacks,
+        /// where partial matches are everywhere.
+        #[test]
+        fn find_matches_the_oracle(
+            hay in proptest::collection::vec(0u8..4, 0..300),
+            needle in proptest::collection::vec(0u8..4, 0..6),
+        ) {
+            proptest::prop_assert_eq!(find(&hay, &needle), oracle_find(&hay, &needle));
+        }
+
+        /// Container refinement agrees with the oracle, including needles
+        /// that straddle the scan window's edge.
+        #[test]
+        fn match_magic_matches_the_oracle(
+            len in 0usize..CONTAINER_SCAN_LIMIT + 4096,
+            seed in proptest::prelude::any::<u64>(),
+            picks in proptest::collection::vec((0usize..64, -3i8..4), 0..4),
+        ) {
+            let doc = planted_container(len, seed, &picks);
+            proptest::prop_assert_eq!(match_magic(&doc), oracle_match_magic(&doc));
+            for needle in NEEDLES {
+                let window = &doc[..doc.len().min(CONTAINER_SCAN_LIMIT)];
+                proptest::prop_assert_eq!(find(window, needle), oracle_find(window, needle));
+            }
+        }
     }
 }
