@@ -5,17 +5,20 @@
 //!
 //! * **write overhead** — the steady-state editor-save workload from
 //!   `engine_overhead`, with and without a shadow sink attached. The
-//!   delta is the copy-on-write capture cost a benign writer pays:
-//!   one content fingerprint per destructive op plus (on a dedup miss)
-//!   one buffer copy into the journal.
+//!   delta is the capture cost a benign writer pays: the store keeps the
+//!   node's buffer by reference, and a save of unchanged bytes coalesces
+//!   onto the file's last pre-image after one byte comparison. Bare and
+//!   shadowed runs alternate, and the artifact reports each side's
+//!   median over the rounds with its range.
 //! * **restore latency** — a real sample encrypts the corpus until the
 //!   engine suspends it, then `restore` rolls the filesystem back. The
 //!   probe reports plan+apply wall time, files and bytes replayed, and
 //!   the journal pressure (captures, dedup hits, evictions) behind them.
 //!
 //! Numbers are reported, not asserted. Machine-readable results go to
-//! `BENCH_recovery.json` at the workspace root; `--test` (the CI smoke
-//! mode) scales every loop to a single iteration.
+//! `BENCH_recovery.json` at the workspace root, with the host's `nproc`
+//! and the producing commit (`git describe --dirty`); `--test` (the CI
+//! smoke mode) scales every loop to a single iteration.
 
 use std::time::Instant;
 
@@ -125,6 +128,30 @@ fn measure_restore(corpus: &Corpus, family: Family) -> (f64, u64, u64, ShadowSta
     (ms, report.files_restored, report.bytes_restored, stats)
 }
 
+/// The median of `xs` (sorted in place).
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    if n % 2 == 1 {
+        xs[n / 2]
+    } else {
+        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+    }
+}
+
+/// The commit the bench ran on, `-dirty` when the tree has changes.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=40"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 fn main() {
     let test_mode = std::env::args().any(|a| a == "--test");
     let mut criterion = Criterion::from_args();
@@ -132,14 +159,27 @@ fn main() {
     criterion.final_summary();
 
     let corpus = bench_corpus();
-    let overhead_iters = if test_mode { 1 } else { 30 };
+    let (rounds, overhead_iters) = if test_mode { (1, 1) } else { (7, 10) };
 
-    let bare_ns = measure_write_overhead(&corpus, false, overhead_iters);
-    let shadow_ns = measure_write_overhead(&corpus, true, overhead_iters);
+    let mut bare = Vec::new();
+    let mut shadowed = Vec::new();
+    for _ in 0..rounds {
+        bare.push(measure_write_overhead(&corpus, false, overhead_iters));
+        shadowed.push(measure_write_overhead(&corpus, true, overhead_iters));
+    }
+    let range = |xs: &[f64]| {
+        let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = xs.iter().copied().fold(0.0, f64::max);
+        (min, max)
+    };
+    let (bare_min, bare_max) = range(&bare);
+    let (shadow_min, shadow_max) = range(&shadowed);
+    let bare_ns = median(&mut bare);
+    let shadow_ns = median(&mut shadowed);
     let ratio = shadow_ns / bare_ns.max(1.0);
     println!(
         "write_overhead: bare {bare_ns:.0} ns/cycle, shadowed {shadow_ns:.0} ns/cycle \
-         ({ratio:.2}x)"
+         ({ratio:.3}x, medians of {rounds} alternating rounds)"
     );
 
     let mut restore_json = Vec::new();
@@ -159,13 +199,20 @@ fn main() {
         ));
     }
 
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         "{{\n  \"bench\": \"recovery\",\n  \"test_mode\": {test_mode},\n  \
+         \"nproc\": {nproc},\n  \"commit\": \"{}\",\n  \
          \"write_overhead\": {{\n    \
+         \"rounds\": {rounds},\n    \
+         \"cycles_per_round\": {overhead_iters},\n    \
          \"bare_ns_per_cycle\": {bare_ns:.1},\n    \
+         \"bare_ns_range\": [{bare_min:.1}, {bare_max:.1}],\n    \
          \"shadowed_ns_per_cycle\": {shadow_ns:.1},\n    \
+         \"shadowed_ns_range\": [{shadow_min:.1}, {shadow_max:.1}],\n    \
          \"capture_overhead_ratio\": {ratio:.3}\n  }},\n  \
          \"restore\": [\n{}\n  ]\n}}\n",
+        commit(),
         restore_json.join(",\n")
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recovery.json");

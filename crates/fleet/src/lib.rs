@@ -8,7 +8,7 @@
 //! single-tenant [`Session`] API:
 //!
 //! * [`SharedCorpus`] — the corpus staged **once** into a
-//!   fingerprint-deduplicated [`BlobStore`] and mounted copy-on-write into
+//!   byte-verified, deduplicated [`BlobStore`] and mounted copy-on-write into
 //!   every tenant filesystem via
 //!   [`stage_shared`](cryptodrop_vfs::AdminView::stage_shared). A thousand
 //!   tenants resident over a 10 MB corpus hold ~10 MB, not ~10 GB; a
@@ -59,7 +59,6 @@ use cryptodrop::{
     Config, ConfigError, CryptoDrop, PipelineConfig, PipelineStats, RecoveryReport, Session,
     ShadowConfig,
 };
-use cryptodrop_simhash::content_fingerprint;
 use cryptodrop_telemetry::{MetricsSnapshot, Telemetry};
 use cryptodrop_vfs::{BlobStore, FaultPlan, SharedContent, VPath, Vfs};
 
@@ -68,10 +67,11 @@ pub use admin::FleetAdmin;
 /// The protected corpus, staged once and mounted copy-on-write into every
 /// tenant namespace.
 ///
-/// Files are deduplicated by content fingerprint through a [`BlobStore`],
+/// Files are deduplicated through a [`BlobStore`] (keyed on the content
+/// stamp each [`SharedContent`] computes once, confirmed byte for byte),
 /// so a corpus where many tenant-visible paths carry identical bytes (a
 /// template tree, say) is resident once per distinct content, and each
-/// staged file carries a precomputed content stamp so mounting into a new
+/// staged file carries its precomputed stamp so mounting into a new
 /// tenant is O(files), not O(bytes).
 #[derive(Debug, Default)]
 pub struct SharedCorpus {
@@ -90,16 +90,17 @@ impl SharedCorpus {
     /// dedup hit — no new memory). Staging the same path twice replaces
     /// the earlier entry for future mounts.
     pub fn stage(&mut self, path: VPath, data: Vec<u8>) -> bool {
-        let fp = content_fingerprint(&data);
-        let len = data.len() as u64;
-        let (bytes, dedup_hit) = self.store.acquire_with(fp, len, || data);
-        let content = SharedContent::from_arc(bytes);
-        if let Some(slot) = self.files.iter_mut().find(|(p, _)| *p == path) {
-            // Replacing drops one reference on the old content.
-            let old = std::mem::replace(&mut slot.1, content);
-            self.store.release(content_fingerprint(old.as_slice()), old.len() as u64);
-        } else {
-            self.files.push((path, content));
+        // A file slot's index is its holder id in the blob store.
+        let slot = self.files.iter().position(|(p, _)| *p == path);
+        let holder = slot.unwrap_or(self.files.len()) as u64;
+        let (content, dedup_hit) = self.store.share(SharedContent::new(data), holder);
+        match slot {
+            Some(i) => {
+                // Replacing drops one reference on the old content.
+                let old = std::mem::replace(&mut self.files[i].1, content);
+                self.store.release(old.stamp(), old.buffer(), holder);
+            }
+            None => self.files.push((path, content)),
         }
         dedup_hit
     }
@@ -848,6 +849,26 @@ mod tests {
         assert_eq!(corpus.bytes_held(), 15, "old blob still referenced by /docs/b");
         corpus.stage(VPath::new("/docs/b"), b"fresh".to_vec());
         assert_eq!(corpus.bytes_held(), 5, "last reference released the old blob");
+    }
+
+    #[test]
+    fn stamp_colliding_files_stay_two_files() {
+        // A 1024-byte Thue–Morse string and its complement share length
+        // and content stamp; staging must still keep both.
+        let t: Vec<u8> = (0u32..1024)
+            .map(|i| if i.count_ones() % 2 == 0 { b'a' } else { b'b' })
+            .collect();
+        let u: Vec<u8> = t.iter().map(|&b| if b == b'a' { b'b' } else { b'a' }).collect();
+        assert_eq!(cryptodrop_vfs::content_stamp(&t), cryptodrop_vfs::content_stamp(&u));
+
+        let mut corpus = SharedCorpus::new();
+        assert!(!corpus.stage(VPath::new("/docs/t"), t.clone()));
+        assert!(!corpus.stage(VPath::new("/docs/u"), u.clone()), "no dedup on a stamp match");
+        assert_eq!(corpus.bytes_held(), 2048);
+        let mut fs = Vfs::new();
+        assert_eq!(corpus.mount_into(&mut fs), 2);
+        assert_eq!(fs.admin().read_file(&VPath::new("/docs/t")).unwrap(), t);
+        assert_eq!(fs.admin().read_file(&VPath::new("/docs/u")).unwrap(), u);
     }
 
     #[test]

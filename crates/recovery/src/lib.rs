@@ -9,11 +9,17 @@
 //!   VFS mutation path (via [`cryptodrop_vfs::ShadowSink`]). Every
 //!   destructive operation a monitored process performs — full-content
 //!   write, truncate, delete, rename-over — deposits the bytes it is about
-//!   to destroy, content-deduplicated by the engine's 64-bit fingerprints
-//!   and bounded by a byte budget with LRU eviction. Shadows belonging to
-//!   process families with nonzero reputation scores are *pinned*: the
-//!   store refuses to evict exactly the pre-images a brewing detection is
-//!   most likely to need.
+//!   to destroy and is bounded by a byte budget with LRU eviction. Capture
+//!   is O(1) in the file size and the journal length: the store keeps a
+//!   clone of the file node's copy-on-write `Arc` rather than a copy, so
+//!   the mutation that follows pays for the file's private copy instead.
+//!   Content is deduplicated on the VFS-maintained content stamp plus
+//!   length, with every stamp match confirmed by `Arc::ptr_eq` or a byte
+//!   comparison (the stamp is a polynomial hash an adversary can collide).
+//!   Shadows belonging to process families with nonzero reputation scores
+//!   are *pinned*: the store refuses to evict exactly the pre-images a
+//!   brewing detection is most likely to need. The eviction victim comes
+//!   from ordered indexes of unpinned entries, not a journal scan.
 //! * [`RecoveryPlan`] / [`ShadowStore::restore`] — on suspension, the
 //!   store enumerates everything the suspect family touched and rolls the
 //!   filesystem back byte-for-byte: suspect-created files are removed,

@@ -3,6 +3,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use cryptodrop_simhash::content_fingerprint;
 use cryptodrop_telemetry::JournalKind;
 use cryptodrop_vfs::{FileId, ProcessId, VPath, Vfs};
 use serde::{Deserialize, Serialize};
@@ -38,8 +39,6 @@ pub enum RecoveryAction {
         recreate_at: VPath,
         /// The pre-attack content.
         bytes: Arc<Vec<u8>>,
-        /// The content's 64-bit fingerprint (verification aid).
-        fingerprint: u64,
         /// The pre-attack read-only attribute.
         read_only: bool,
     },
@@ -122,7 +121,8 @@ pub struct RecoveryReport {
     pub conflicts: Vec<RecoveryConflict>,
     /// Wall-clock nanoseconds the rollback took.
     pub restore_nanos: u64,
-    /// Every restored path with the fingerprint of the restored content.
+    /// Every restored path with the 64-bit `content_fingerprint` of the
+    /// bytes written back, computed only for files actually restored.
     pub restored_files: Vec<(VPath, u64)>,
 }
 
@@ -212,13 +212,6 @@ impl ShadowStore {
                 });
                 continue;
             }
-            let Some(bytes) = inner.blob(point.fp, point.len) else {
-                evicted.push(RecoveryConflict::ShadowEvicted {
-                    file,
-                    path: admin_paths(file).unwrap_or_else(|| point.path.clone()),
-                });
-                continue;
-            };
             restores.push(RecoveryAction::Restore {
                 file,
                 // A dead file goes back to its pre-attack path: the
@@ -228,8 +221,7 @@ impl ShadowStore {
                     .get(&file)
                     .map(|(first, _)| first.from.clone())
                     .unwrap_or_else(|| point.path.clone()),
-                bytes,
-                fingerprint: point.fp,
+                bytes: Arc::clone(&point.bytes),
                 read_only: point.read_only,
             });
         }
@@ -343,7 +335,6 @@ impl ShadowStore {
                     file,
                     recreate_at,
                     bytes,
-                    fingerprint,
                     read_only,
                 } => {
                     let mut admin = fs.admin();
@@ -367,7 +358,9 @@ impl ShadowStore {
                         let _ = admin.set_read_only(&target, *read_only);
                         report.files_restored += 1;
                         report.bytes_restored += bytes.len() as u64;
-                        report.restored_files.push((target.clone(), *fingerprint));
+                        report
+                            .restored_files
+                            .push((target.clone(), content_fingerprint(bytes)));
                         journal("restore", &target, bytes.len() as u64);
                     }
                 }
@@ -416,7 +409,6 @@ impl ShadowStore {
 mod tests {
     use super::*;
     use crate::store::{ShadowConfig, ShadowStore};
-    use cryptodrop_simhash::content_fingerprint;
 
     fn p(s: &str) -> VPath {
         VPath::new(s)
@@ -577,5 +569,30 @@ mod tests {
             b"alpha".to_vec()
         );
         assert!(!fs.admin().metadata(&p("/a.txt")).unwrap().read_only);
+    }
+
+    #[test]
+    fn stamp_colliding_files_each_get_their_own_bytes_back() {
+        // A 1024-byte Thue–Morse string and its complement share length
+        // and content stamp: a store trusting the stamp would dedup the
+        // second pre-image onto the first and restore the wrong bytes.
+        let t: Vec<u8> = (0u32..1024)
+            .map(|i| if i.count_ones() % 2 == 0 { b'a' } else { b'b' })
+            .collect();
+        let u: Vec<u8> = t.iter().map(|&b| if b == b'a' { b'b' } else { b'a' }).collect();
+        assert_eq!(cryptodrop_vfs::content_stamp(&t), cryptodrop_vfs::content_stamp(&u));
+
+        let (store, mut fs, suspect, _benign) = setup(ShadowConfig::default());
+        fs.admin().write_file(&p("/docs/t.txt"), &t).unwrap();
+        fs.admin().write_file(&p("/docs/u.txt"), &u).unwrap();
+        fs.write_file(suspect, &p("/docs/t.txt"), b"LOCKED").unwrap();
+        fs.write_file(suspect, &p("/docs/u.txt"), b"LOCKED").unwrap();
+
+        let report = store.recover(suspect, &mut fs);
+        assert_eq!(report.files_restored, 2);
+        assert_eq!(fs.admin().read_file(&p("/docs/t.txt")).unwrap(), t);
+        assert_eq!(fs.admin().read_file(&p("/docs/u.txt")).unwrap(), u);
+        let fingerprints: Vec<u64> = report.restored_files.iter().map(|(_, fp)| *fp).collect();
+        assert_eq!(fingerprints, vec![content_fingerprint(&t), content_fingerprint(&u)]);
     }
 }

@@ -5,10 +5,9 @@
 // operation that triggered it, so unwrap/expect are banned outright.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
-use cryptodrop_simhash::content_fingerprint;
 use cryptodrop_telemetry::{JournalKind, Telemetry};
 use cryptodrop_vfs::shadow::{MutationKind, PreImage, ShadowSink};
 use cryptodrop_vfs::{BlobStore, FileId, ProcessId, VPath};
@@ -62,8 +61,8 @@ pub struct ShadowStats {
     /// Captures skipped because the file's most recent entry already
     /// holds identical content for the same family.
     pub coalesced: u64,
-    /// Captures whose content was already resident (fingerprint dedup) —
-    /// a new journal entry, but no new bytes.
+    /// Captures whose content was already resident (byte-verified dedup)
+    /// — a new journal entry, but no new bytes.
     pub dedup_hits: u64,
     /// Entries evicted to honour the byte/entry budgets.
     pub evictions: u64,
@@ -101,9 +100,19 @@ pub(crate) struct Entry {
     pub(crate) kind: MutationKind,
     pub(crate) path: VPath,
     pub(crate) file: FileId,
-    pub(crate) fp: u64,
-    pub(crate) len: u64,
+    /// `content_stamp(bytes)`, maintained by the VFS.
+    stamp: u64,
+    /// The resident blob (one reference on it in the [`BlobStore`]).
+    pub(crate) bytes: Arc<Vec<u8>>,
     pub(crate) read_only: bool,
+}
+
+impl Entry {
+    /// Whether this entry holds exactly the content `(stamp, bytes)`: a
+    /// stamp match is only a candidate, confirmed by identity or bytes.
+    fn holds(&self, stamp: u64, bytes: &Arc<Vec<u8>>) -> bool {
+        self.stamp == stamp && (Arc::ptr_eq(&self.bytes, bytes) || self.bytes == *bytes)
+    }
 }
 
 /// A suspect rename, remembered so recovery can undo it.
@@ -122,9 +131,16 @@ pub(crate) struct Inner {
     pub(crate) entries: BTreeMap<u64, Entry>,
     /// file → its entries' seqs, in capture order (all families).
     pub(crate) by_file: HashMap<FileId, Vec<u64>>,
-    /// (fingerprint, len) → deduplicated content, in the refcounted
-    /// [`BlobStore`] shared with fleet corpus staging.
+    /// Deduplicated content, in the byte-verified refcounted
+    /// [`BlobStore`] shared with fleet corpus staging. Each entry holds
+    /// one reference, taken with its seq as the holder id.
     blobs: BlobStore,
+    /// Seqs of the entries whose family is unpinned, oldest first: the
+    /// eviction candidates.
+    unpinned: BTreeSet<u64>,
+    /// The subset of `unpinned` holding the only reference to their
+    /// blob, oldest first: evicting one of these frees bytes.
+    sole: BTreeSet<u64>,
     /// Files created (no pre-image) by each family root.
     pub(crate) created: HashMap<FileId, ProcessId>,
     /// Renames in capture order.
@@ -139,15 +155,14 @@ pub(crate) struct Inner {
     evicted: HashSet<(FileId, ProcessId)>,
     next_seq: u64,
     stats: ShadowStats,
+    /// Every eviction victim's seq, in eviction order.
+    #[cfg(test)]
+    victims: Vec<u64>,
 }
 
 impl Inner {
     fn pinned(&self, family: ProcessId) -> bool {
         self.reputation.get(&family).copied().unwrap_or(0) > 0
-    }
-
-    pub(crate) fn blob(&self, fp: u64, len: u64) -> Option<Arc<Vec<u8>>> {
-        self.blobs.get(fp, len)
     }
 
     /// Whether eviction has destroyed part of `file`'s history as
@@ -166,8 +181,33 @@ impl Inner {
                 self.by_file.remove(&entry.file);
             }
         }
-        let released = self.blobs.release(entry.fp, entry.len);
-        Some((entry, released))
+        self.unpinned.remove(&seq);
+        self.sole.remove(&seq);
+        let released = self.blobs.release(entry.stamp, &entry.bytes, seq);
+        if let Some(holder) = released.now_sole {
+            if self.unpinned.contains(&holder) {
+                self.sole.insert(holder);
+            }
+        }
+        Some((entry, released.freed))
+    }
+
+    /// Re-files `family`'s entries in the victim indexes after its pin
+    /// state flipped. Flips are rare (a family's first score award), so a
+    /// pass over the journal is fine here.
+    fn repin(&mut self, family: ProcessId) {
+        let pinned = self.pinned(family);
+        for entry in self.entries.values().filter(|e| e.family == family) {
+            if pinned {
+                self.unpinned.remove(&entry.seq);
+                self.sole.remove(&entry.seq);
+            } else {
+                self.unpinned.insert(entry.seq);
+                if self.blobs.ref_count(entry.stamp, &entry.bytes) == 1 {
+                    self.sole.insert(entry.seq);
+                }
+            }
+        }
     }
 }
 
@@ -215,7 +255,12 @@ impl ShadowStore {
     /// families with nonzero scores are pinned against eviction. The
     /// engine calls this from its scoring path; scores only ever grow.
     pub fn set_reputation(&self, family: ProcessId, score: u32) {
-        self.inner.lock().reputation.insert(family, score);
+        let mut inner = self.inner.lock();
+        let was_pinned = inner.pinned(family);
+        inner.reputation.insert(family, score);
+        if was_pinned != (score > 0) {
+            inner.repin(family);
+        }
     }
 
     /// A consistent snapshot of the store's counters.
@@ -224,11 +269,7 @@ impl ShadowStore {
         let mut stats = inner.stats.clone();
         stats.entries = inner.entries.len() as u64;
         stats.bytes_held = inner.blobs.bytes_held();
-        stats.pinned_entries = inner
-            .entries
-            .values()
-            .filter(|e| inner.pinned(e.family))
-            .count() as u64;
+        stats.pinned_entries = (inner.entries.len() - inner.unpinned.len()) as u64;
         stats
     }
 
@@ -259,6 +300,10 @@ impl ShadowStore {
     /// a later unpinned entry can free real bytes. When no unpinned entry
     /// releases anything — or the overage is entry-count only — the
     /// oldest unpinned entry is evicted as before.
+    ///
+    /// Both candidates are the first element of an ordered index
+    /// (`sole`, `unpinned`), so each pick is O(log n) however long the
+    /// journal's run of pinned and shared-blob entries grows.
     fn enforce_budget(&self, inner: &mut Inner) {
         loop {
             let over_bytes = inner.blobs.bytes_held() > self.cfg.byte_budget;
@@ -267,26 +312,8 @@ impl ShadowStore {
             if !over_bytes && !over_entries {
                 return;
             }
-            let mut oldest_unpinned = None;
-            let mut releasing = None;
-            for e in inner.entries.values() {
-                if inner.pinned(e.family) {
-                    continue;
-                }
-                if oldest_unpinned.is_none() {
-                    oldest_unpinned = Some(e.seq);
-                    if !over_bytes {
-                        // Entry-count pressure only: any eviction helps,
-                        // take the oldest.
-                        break;
-                    }
-                }
-                if over_bytes && inner.blobs.ref_count(e.fp, e.len) == 1 {
-                    releasing = Some(e.seq);
-                    break;
-                }
-            }
-            let Some(seq) = releasing.or(oldest_unpinned) else {
+            let releasing = if over_bytes { inner.sole.first() } else { None };
+            let Some(&seq) = releasing.or(inner.unpinned.first()) else {
                 inner.stats.pin_overflows += 1;
                 if self.telemetry.is_enabled() {
                     self.telemetry.counter("recovery.shadow.pin_overflow").inc();
@@ -294,10 +321,12 @@ impl ShadowStore {
                 return;
             };
             let Some((entry, released)) = inner.remove_entry(seq) else {
-                // Unreachable (the seq came from the live entry map), but
+                // Unreachable (the indexes hold live seqs only), but
                 // eviction must never panic the capture path.
                 return;
             };
+            #[cfg(test)]
+            inner.victims.push(seq);
             inner.evicted.insert((entry.file, entry.family));
             inner.stats.evictions += 1;
             if self.telemetry.is_enabled() {
@@ -316,20 +345,27 @@ impl ShadowStore {
 }
 
 impl ShadowSink for ShadowStore {
+    /// O(1) in the file size and the journal length: the store keeps a
+    /// clone of the node's `Arc` instead of a copy, keys dedup on the
+    /// VFS-maintained stamp, and reads its eviction victim off an index.
+    /// The only pass over content is the byte check that confirms a
+    /// `(stamp, len)` match against a different buffer.
     fn capture(&self, pre: &PreImage<'_>) {
-        let fp = content_fingerprint(pre.data);
-        let len = pre.data.len() as u64;
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
 
         // Coalesce: the file's most recent shadow already journals this
         // exact (operation, content) for this family — a repeat capture
         // adds nothing.
-        if let Some(last_seq) = inner.by_file.get(&pre.file).and_then(|s| s.last()) {
-            let last = &inner.entries[last_seq];
+        let last = inner
+            .by_file
+            .get(&pre.file)
+            .and_then(|s| s.last())
+            .and_then(|seq| inner.entries.get(seq));
+        if let Some(last) = last {
             if last.family == pre.family_root
                 && last.kind == pre.kind
-                && last.fp == fp
-                && last.len == len
+                && last.holds(pre.stamp, pre.data)
             {
                 inner.stats.coalesced += 1;
                 if self.telemetry.is_enabled() {
@@ -339,16 +375,26 @@ impl ShadowSink for ShadowStore {
             }
         }
 
-        let (_blob, dedup_hit) = inner.blobs.acquire_with(fp, len, || pre.data.to_vec());
-        if dedup_hit {
+        let seq = inner.next_seq;
+        inner.next_seq += 1;
+        let got = inner.blobs.acquire(pre.stamp, pre.data, seq);
+        if got.dedup_hit {
             inner.stats.dedup_hits += 1;
             if self.telemetry.is_enabled() {
                 self.telemetry.counter("recovery.shadow.dedup_hits").inc();
             }
         }
-
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
+        if let Some(previous) = got.was_sole {
+            // The blob gained a second holder: evicting its first frees
+            // nothing any more.
+            inner.sole.remove(&previous);
+        }
+        if !inner.pinned(pre.family_root) {
+            inner.unpinned.insert(seq);
+            if !got.dedup_hit {
+                inner.sole.insert(seq);
+            }
+        }
         inner.entries.insert(
             seq,
             Entry {
@@ -358,8 +404,8 @@ impl ShadowSink for ShadowStore {
                 kind: pre.kind,
                 path: pre.path.clone(),
                 file: pre.file,
-                fp,
-                len,
+                stamp: pre.stamp,
+                bytes: got.blob,
                 read_only: pre.read_only,
             },
         );
@@ -374,7 +420,7 @@ impl ShadowSink for ShadowStore {
                 .gauge("recovery.shadow.entries")
                 .set(inner.entries.len() as i64);
         }
-        self.enforce_budget(&mut inner);
+        self.enforce_budget(inner);
     }
 
     fn capture_failed(
@@ -473,27 +519,38 @@ impl ShadowStore {
     }
 }
 
+// A panic in test code is a failed test, not a killed capture path.
 #[cfg(test)]
+#[allow(clippy::expect_used)]
+mod reference;
+
+#[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
+    use cryptodrop_vfs::content_stamp;
 
-    fn img<'a>(
+    /// Captures `data` as `pid`'s pre-image of `file`.
+    fn cap(
+        store: &ShadowStore,
         pid: u32,
         kind: MutationKind,
-        path: &'a VPath,
+        path: &VPath,
         file: u64,
-        data: &'a [u8],
-    ) -> PreImage<'a> {
-        PreImage {
+        data: &[u8],
+    ) {
+        let data = Arc::new(data.to_vec());
+        store.capture(&PreImage {
             pid: ProcessId(pid),
             family_root: ProcessId(pid),
             at_nanos: 0,
             kind,
             path,
             file: FileId(file),
-            data,
+            data: &data,
+            stamp: content_stamp(&data),
             read_only: false,
-        }
+        });
     }
 
     #[test]
@@ -501,11 +558,11 @@ mod tests {
         let store = ShadowStore::new(ShadowConfig::default());
         let a = VPath::new("/a");
         let b = VPath::new("/b");
-        store.capture(&img(1, MutationKind::Write, &a, 1, b"same"));
+        cap(&store, 1, MutationKind::Write, &a, 1, b"same");
         // Identical content on a *different* file dedups bytes.
-        store.capture(&img(1, MutationKind::Write, &b, 2, b"same"));
+        cap(&store, 1, MutationKind::Write, &b, 2, b"same");
         // Identical content on the *same* file coalesces entirely.
-        store.capture(&img(1, MutationKind::Write, &a, 1, b"same"));
+        cap(&store, 1, MutationKind::Write, &a, 1, b"same");
         let stats = store.stats();
         assert_eq!(stats.captures, 2);
         assert_eq!(stats.dedup_hits, 1);
@@ -523,9 +580,9 @@ mod tests {
         let p1 = VPath::new("/1");
         let p2 = VPath::new("/2");
         let p3 = VPath::new("/3");
-        store.capture(&img(1, MutationKind::Write, &p1, 1, b"aaaaa")); // 5 bytes
-        store.capture(&img(2, MutationKind::Write, &p2, 2, b"bbbbb")); // 10 bytes
-        store.capture(&img(3, MutationKind::Write, &p3, 3, b"ccccc")); // 15 -> evict oldest
+        cap(&store, 1, MutationKind::Write, &p1, 1, b"aaaaa"); // 5 bytes
+        cap(&store, 2, MutationKind::Write, &p2, 2, b"bbbbb"); // 10 bytes
+        cap(&store, 3, MutationKind::Write, &p3, 3, b"ccccc"); // 15 -> evict oldest
         let stats = store.stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.bytes_held, 10);
@@ -544,9 +601,9 @@ mod tests {
         let p1 = VPath::new("/1");
         let p2 = VPath::new("/2");
         let p3 = VPath::new("/3");
-        store.capture(&img(1, MutationKind::Write, &p1, 1, b"aaaaa"));
-        store.capture(&img(2, MutationKind::Write, &p2, 2, b"bbbbb"));
-        store.capture(&img(1, MutationKind::Delete, &p3, 3, b"ccccc"));
+        cap(&store, 1, MutationKind::Write, &p1, 1, b"aaaaa");
+        cap(&store, 2, MutationKind::Write, &p2, 2, b"bbbbb");
+        cap(&store, 1, MutationKind::Delete, &p3, 3, b"ccccc");
         // The unpinned family-2 entry goes; family-1 entries survive.
         let stats = store.stats();
         assert_eq!(stats.evictions, 1);
@@ -566,8 +623,8 @@ mod tests {
         store.set_reputation(ProcessId(1), 1);
         let p1 = VPath::new("/1");
         let p2 = VPath::new("/2");
-        store.capture(&img(1, MutationKind::Write, &p1, 1, b"xxxx"));
-        store.capture(&img(1, MutationKind::Write, &p2, 2, b"yyyy"));
+        cap(&store, 1, MutationKind::Write, &p1, 1, b"xxxx");
+        cap(&store, 1, MutationKind::Write, &p2, 2, b"yyyy");
         let stats = store.stats();
         assert_eq!(stats.evictions, 0);
         assert!(stats.pin_overflows >= 1);
@@ -583,7 +640,7 @@ mod tests {
         for i in 0..5u64 {
             let p = VPath::new(format!("/{i}"));
             let data = vec![i as u8; 3];
-            store.capture(&img(9, MutationKind::Write, &p, i + 1, &data));
+            cap(&store, 9, MutationKind::Write, &p, i + 1, &data);
         }
         let stats = store.stats();
         assert_eq!(stats.entries, 2);
@@ -599,9 +656,9 @@ mod tests {
         let p1 = VPath::new("/1");
         let p2 = VPath::new("/2");
         let p3 = VPath::new("/3");
-        store.capture(&img(1, MutationKind::Write, &p1, 1, b"dup")); // 3
-        store.capture(&img(2, MutationKind::Write, &p2, 2, b"dup")); // dedup: still 3
-        store.capture(&img(3, MutationKind::Write, &p3, 3, b"unique")); // 9 > 6
+        cap(&store, 1, MutationKind::Write, &p1, 1, b"dup"); // 3
+        cap(&store, 2, MutationKind::Write, &p2, 2, b"dup"); // dedup: still 3
+        cap(&store, 3, MutationKind::Write, &p3, 3, b"unique"); // 9 > 6
         // Entries 1 and 2 share one blob, so evicting either frees
         // nothing. The victim loop skips them in favour of the one entry
         // whose removal actually releases bytes: one eviction, not a
@@ -628,12 +685,12 @@ mod tests {
         let shared = b"aaa"; // 3 bytes, shared across 4 files
         for file in 1..=4u64 {
             let p = VPath::new(format!("/shared/{file}"));
-            store.capture(&img(1, MutationKind::Write, &p, file, shared));
+            cap(&store, 1, MutationKind::Write, &p, file, shared);
         }
         let p5 = VPath::new("/unique/5");
-        store.capture(&img(2, MutationKind::Write, &p5, 5, b"bbbbbb")); // 9 total
+        cap(&store, 2, MutationKind::Write, &p5, 5, b"bbbbbb"); // 9 total
         let p6 = VPath::new("/unique/6");
-        store.capture(&img(3, MutationKind::Write, &p6, 6, b"cccccc")); // 15 > 10
+        cap(&store, 3, MutationKind::Write, &p6, 6, b"cccccc"); // 15 > 10
         let stats = store.stats();
         assert_eq!(
             stats.evictions, 1,
@@ -662,9 +719,9 @@ mod tests {
         let p1 = VPath::new("/1");
         let p2 = VPath::new("/2");
         let p3 = VPath::new("/3");
-        store.capture(&img(1, MutationKind::Write, &p1, 1, b"dup"));
-        store.capture(&img(2, MutationKind::Write, &p2, 2, b"dup"));
-        store.capture(&img(3, MutationKind::Write, &p3, 3, b"unique"));
+        cap(&store, 1, MutationKind::Write, &p1, 1, b"dup");
+        cap(&store, 2, MutationKind::Write, &p2, 2, b"dup");
+        cap(&store, 3, MutationKind::Write, &p3, 3, b"unique");
         let inner = store.inner.lock();
         assert!(!inner.by_file.contains_key(&FileId(1)), "oldest evicted");
         assert!(inner.by_file.contains_key(&FileId(2)));
@@ -683,5 +740,218 @@ mod tests {
             !inner.was_evicted(FileId(7), ProcessId(2)),
             "poisoned for the family root, not the child pid"
         );
+    }
+
+    /// A 1024-byte Thue–Morse string over `a`/`b` and its complement.
+    /// They differ in every byte yet share length and `content_stamp`
+    /// (at 512 bytes they do not collide).
+    fn thue_morse_pair() -> (Vec<u8>, Vec<u8>) {
+        let t: Vec<u8> = (0u32..1024)
+            .map(|i| if i.count_ones() % 2 == 0 { b'a' } else { b'b' })
+            .collect();
+        let u = t.iter().map(|&b| if b == b'a' { b'b' } else { b'a' }).collect();
+        (t, u)
+    }
+
+    #[test]
+    fn stamp_collisions_neither_dedup_nor_coalesce() {
+        let (t, u) = thue_morse_pair();
+        assert_ne!(t, u);
+        assert_eq!(content_stamp(&t), content_stamp(&u));
+        assert_ne!(content_stamp(&t[..512]), content_stamp(&u[..512]));
+
+        let store = ShadowStore::new(ShadowConfig::default());
+        let a = VPath::new("/a");
+        let b = VPath::new("/b");
+        cap(&store, 1, MutationKind::Write, &a, 1, &t);
+        cap(&store, 1, MutationKind::Write, &b, 2, &u);
+        let stats = store.stats();
+        assert_eq!(stats.dedup_hits, 0, "colliding contents on two files are two blobs");
+        assert_eq!(stats.bytes_held, 2048);
+
+        let store = ShadowStore::new(ShadowConfig::default());
+        cap(&store, 1, MutationKind::Write, &a, 1, &t);
+        cap(&store, 1, MutationKind::Write, &a, 1, &u);
+        let stats = store.stats();
+        assert_eq!(stats.coalesced, 0, "colliding contents on one file do not coalesce");
+        assert_eq!(stats.captures, 2);
+        let inner = store.inner.lock();
+        let held: Vec<&[u8]> = inner.entries.values().map(|e| e.bytes.as_slice()).collect();
+        assert_eq!(held, vec![&t[..], &u[..]], "each entry keeps its own bytes");
+    }
+
+    #[test]
+    fn a_capture_keeps_the_node_buffer_without_copying() {
+        let store = ShadowStore::new(ShadowConfig::default());
+        let data = Arc::new(b"pre-image".to_vec());
+        let path = VPath::new("/f");
+        store.capture(&PreImage {
+            pid: ProcessId(1),
+            family_root: ProcessId(1),
+            at_nanos: 0,
+            kind: MutationKind::Delete,
+            path: &path,
+            file: FileId(1),
+            data: &data,
+            stamp: content_stamp(&data),
+            read_only: false,
+        });
+        let inner = store.inner.lock();
+        let entry = inner.entries.values().next().expect("one entry");
+        assert!(Arc::ptr_eq(&entry.bytes, &data));
+    }
+
+    #[test]
+    fn held_blobs_carry_no_spare_capacity_after_appends() {
+        use cryptodrop_vfs::{OpenOptions, Vfs};
+
+        let store = Arc::new(ShadowStore::new(ShadowConfig::default()));
+        let mut fs = Vfs::new();
+        fs.set_shadow_sink(store.clone());
+        let pid = fs.spawn_process("logger.exe");
+        for round in 0..20u32 {
+            let header = format!("# log {round:02} {}\n", "#".repeat(56)).into_bytes();
+            let a = VPath::new(format!("/logs/{round}/a.log"));
+            let b = VPath::new(format!("/logs/{round}/b.log"));
+            fs.admin().write_file(&a, &header).expect("stage");
+            fs.admin().write_file(&b, &header).expect("stage");
+            let line = format!("round {round}\n");
+            for (path, extra) in [(&a, None), (&b, Some("trailer\n"))] {
+                let h = fs.open(pid, path, OpenOptions::modify()).expect("open");
+                fs.seek(pid, h, header.len() as u64).expect("seek");
+                // On `b` this capture dedups onto `a`'s pre-image, so the
+                // store keeps nothing of `b` and the append grows `b`'s
+                // own buffer in place, leaving slack behind its length.
+                fs.write(pid, h, line.as_bytes()).expect("append");
+                // This capture keeps that grown buffer.
+                if let Some(extra) = extra {
+                    fs.write(pid, h, extra.as_bytes()).expect("append");
+                }
+                fs.close(pid, h).expect("close");
+            }
+        }
+        let inner = store.inner.lock();
+        assert_eq!(inner.stats.dedup_hits, 20, "every round's `b` capture dedups");
+        assert_eq!(inner.entries.len(), 60);
+        for entry in inner.entries.values() {
+            assert_eq!(
+                entry.bytes.capacity(),
+                entry.bytes.len(),
+                "entry {} holds spare capacity",
+                entry.seq
+            );
+        }
+    }
+
+    mod oracle {
+        use super::super::reference::Reference;
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Contents shared across files and families, so blobs gain and
+        /// lose holders.
+        const POOL: [&[u8]; 4] = [b"", b"aa", b"bbbb", b"cccccc"];
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Capture {
+                family: u32,
+                file: u64,
+                kind: MutationKind,
+                bytes: Vec<u8>,
+            },
+            Reputation {
+                family: u32,
+                score: u32,
+            },
+            CaptureFailed {
+                family: u32,
+                file: u64,
+            },
+            Finish {
+                family: u32,
+            },
+        }
+
+        fn kind(k: u8) -> MutationKind {
+            match k {
+                0 => MutationKind::Write,
+                1 => MutationKind::Truncate,
+                2 => MutationKind::Delete,
+                _ => MutationKind::RenameOverwrite,
+            }
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            let capture = |bytes: BoxedStrategy<Vec<u8>>| {
+                (1u32..5, 1u64..7, 0u8..4, bytes).prop_map(|(family, file, k, bytes)| {
+                    Op::Capture {
+                        family,
+                        file,
+                        kind: kind(k),
+                        bytes,
+                    }
+                })
+            };
+            let shared = (0usize..POOL.len()).prop_map(|i| POOL[i].to_vec()).boxed();
+            let unique = proptest::collection::vec(any::<u8>(), 1..10).boxed();
+            prop_oneof![
+                8 => capture(shared),
+                6 => capture(unique),
+                3 => (1u32..5, 0u32..3)
+                    .prop_map(|(family, score)| Op::Reputation { family, score }),
+                1 => (1u32..5, 1u64..7)
+                    .prop_map(|(family, file)| Op::CaptureFailed { family, file }),
+                1 => (1u32..5).prop_map(|family| Op::Finish { family }),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+            #[test]
+            fn indexed_victims_match_the_scan(
+                byte_budget in 0u64..24,
+                max_entries in 0usize..7,
+                ops in proptest::collection::vec(op(), 1..80),
+            ) {
+                let store = ShadowStore::new(ShadowConfig { byte_budget, max_entries });
+                let mut model = Reference::new(byte_budget, max_entries);
+                for op in &ops {
+                    match op {
+                        Op::Capture { family, file, kind, bytes } => {
+                            let path = VPath::new(format!("/f{file}"));
+                            cap(&store, *family, *kind, &path, *file, bytes);
+                            model.capture(ProcessId(*family), *kind, FileId(*file), bytes);
+                        }
+                        Op::Reputation { family, score } => {
+                            store.set_reputation(ProcessId(*family), *score);
+                            model.set_reputation(ProcessId(*family), *score);
+                        }
+                        Op::CaptureFailed { family, file } => {
+                            let path = VPath::new(format!("/f{file}"));
+                            let family = ProcessId(*family);
+                            store.capture_failed(family, family, FileId(*file), &path);
+                            model.capture_failed(family, FileId(*file));
+                        }
+                        Op::Finish { family } => {
+                            store.finish_recovery(ProcessId(*family), 0, 0, 0, 0);
+                            model.finish_recovery(ProcessId(*family));
+                        }
+                    }
+                    let stats = store.stats();
+                    let inner = store.inner.lock();
+                    prop_assert!(
+                        inner.victims == model.victims,
+                        "victims {:?} != oracle {:?} after {:?}", inner.victims, model.victims, op
+                    );
+                    prop_assert_eq!(&inner.evicted, &model.evicted);
+                    prop_assert_eq!(stats.bytes_held, model.bytes_held);
+                    prop_assert_eq!(stats.pin_overflows, model.pin_overflows);
+                    let seqs: Vec<u64> = inner.entries.keys().copied().collect();
+                    prop_assert_eq!(seqs, model.seqs());
+                }
+            }
+        }
     }
 }

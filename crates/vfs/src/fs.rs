@@ -1468,7 +1468,7 @@ impl Vfs {
         match self.file_at(mi, path) {
             Some(file) => {
                 let node = self.mounts[mi].provider.node_mut(file).expect("linked");
-                node.data = Content::from_shared(content.handle());
+                node.data = Content::from_shared(Arc::clone(content.buffer()));
                 node.stamp = content.stamp();
                 node.modified_at_nanos = now;
             }
@@ -1480,7 +1480,12 @@ impl Vfs {
                 let id = m.provider.alloc_ino();
                 m.provider.insert_file(
                     path,
-                    FileNode::new(id, Content::from_shared(content.handle()), content.stamp(), now),
+                    FileNode::new(
+                        id,
+                        Content::from_shared(Arc::clone(content.buffer())),
+                        content.stamp(),
+                        now,
+                    ),
                 );
             }
         }
@@ -1990,7 +1995,7 @@ impl Vfs {
     /// [`ShadowSink::capture_failed`] instead — the mutation still
     /// proceeds, and the sink degrades that one file's recovery rather
     /// than blocking the filesystem.
-    fn shadow_capture(&self, pid: ProcessId, kind: MutationKind, mi: usize, path: &VPath) {
+    fn shadow_capture(&mut self, pid: ProcessId, kind: MutationKind, mi: usize, path: &VPath) {
         let Some(file) = self.file_at(mi, path) else { return };
         self.shadow_capture_file(pid, kind, mi, file, path);
     }
@@ -1998,8 +2003,13 @@ impl Vfs {
     /// Identity-keyed shadow capture: used by handle-based mutations, where
     /// the handle may reference an unlinked (orphaned) node whose path now
     /// names a different file.
+    ///
+    /// The sink receives the node's own buffer and maintained stamp, so
+    /// capture costs O(1) whatever the file size; the buffer's spare
+    /// capacity is trimmed first, so a sink that keeps it holds `len`
+    /// bytes, not the slack of past appends.
     fn shadow_capture_file(
-        &self,
+        &mut self,
         pid: ProcessId,
         kind: MutationKind,
         mi: usize,
@@ -2007,7 +2017,7 @@ impl Vfs {
         path: &VPath,
     ) {
         let Some(sink) = &self.shadow else { return };
-        let Some(node) = self.mounts[mi].provider.node(file) else { return };
+        let Some(node) = self.mounts[mi].provider.node_mut(file) else { return };
         let family_root = self.processes.root_of(pid);
         if let Some(injector) = &self.faults {
             if injector.capture_failure(self.clock.now_nanos(), pid, path) {
@@ -2015,6 +2025,7 @@ impl Vfs {
                 return;
             }
         }
+        node.data.trim();
         sink.capture(&PreImage {
             pid,
             family_root,
@@ -2022,7 +2033,8 @@ impl Vfs {
             kind,
             path,
             file: node.id,
-            data: &node.data,
+            data: node.data.buffer(),
+            stamp: node.stamp,
             read_only: node.read_only,
         });
     }
@@ -3114,6 +3126,7 @@ mod tests {
             self.captures
                 .lock().unwrap()
                 .push((pre.kind, pre.path.clone(), pre.data.to_vec()));
+            assert_eq!(pre.stamp, crate::content_stamp(pre.data), "stamp matches data");
         }
         fn note_created(&self, _pid: ProcessId, _root: ProcessId, _file: FileId, path: &VPath) {
             self.created.lock().unwrap().push(path.clone());

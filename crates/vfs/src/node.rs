@@ -100,6 +100,20 @@ impl Content {
     pub fn is_shared(&self) -> bool {
         Arc::strong_count(&self.0) > 1
     }
+
+    /// The underlying shared buffer.
+    pub fn buffer(&self) -> &Arc<Vec<u8>> {
+        &self.0
+    }
+
+    /// Drops a uniquely owned buffer's spare capacity, so a handle kept
+    /// on it (a shadow pre-image) holds exactly `len` bytes. A shared
+    /// buffer is left alone.
+    pub fn trim(&mut self) {
+        if let Some(bytes) = Arc::get_mut(&mut self.0) {
+            bytes.shrink_to_fit();
+        }
+    }
 }
 
 impl From<Vec<u8>> for Content {

@@ -14,6 +14,8 @@
 //! reaches its capture point, so the shadow journal records exactly the
 //! mutations that really happened.
 
+use std::sync::Arc;
+
 use crate::node::FileId;
 use crate::path::VPath;
 use crate::process::ProcessId;
@@ -45,10 +47,17 @@ impl MutationKind {
     }
 }
 
-/// A borrowed snapshot of a file the VFS is about to destroy or mutate.
+/// A snapshot of a file the VFS is about to destroy or mutate.
 ///
-/// The `data` slice is only valid for the duration of the
-/// [`ShadowSink::capture`] call — sinks that keep pre-images must copy.
+/// `data` is the node's own copy-on-write buffer, so a sink keeps a
+/// pre-image by cloning the `Arc` — O(1), no copy — and the mutation that
+/// follows materializes a private copy for the file instead. The VFS trims
+/// a uniquely owned buffer's spare capacity before the call, so a kept
+/// clone holds exactly `data.len()` bytes. `stamp` is the node's
+/// maintained [`content_stamp`](crate::content_stamp): a sink can
+/// compare pre-images by `(stamp, len)` without a hashing pass, but the
+/// stamp is not collision-resistant, so equal stamps only name a
+/// candidate that the bytes (or `Arc::ptr_eq`) must confirm.
 #[derive(Debug)]
 pub struct PreImage<'a> {
     /// The process issuing the destructive operation.
@@ -66,7 +75,9 @@ pub struct PreImage<'a> {
     /// The file's stable identity.
     pub file: FileId,
     /// The file's full content immediately before the mutation.
-    pub data: &'a [u8],
+    pub data: &'a Arc<Vec<u8>>,
+    /// [`content_stamp`](crate::content_stamp) of `data`.
+    pub stamp: u64,
     /// Whether the file is currently marked read-only.
     pub read_only: bool,
 }
@@ -151,6 +162,7 @@ mod tests {
         );
         assert_eq!(sink.0.load(Ordering::Relaxed), 0);
         let path = VPath::new("/a");
+        let data = Arc::new(b"x".to_vec());
         sink.capture(&PreImage {
             pid: ProcessId(1),
             family_root: ProcessId(1),
@@ -158,7 +170,8 @@ mod tests {
             kind: MutationKind::Write,
             path: &path,
             file: FileId(9),
-            data: b"x",
+            data: &data,
+            stamp: crate::content_stamp(&data),
             read_only: false,
         });
         assert_eq!(sink.0.load(Ordering::Relaxed), 1);
